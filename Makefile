@@ -27,9 +27,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadExperiments -fuzztime 30s ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz FuzzVPTreeQuery -fuzztime 30s ./internal/ann/
 
-# serve-test is the focused gate for the serving layer: the wpredd e2e
-# lifecycle, registry single-flight/eviction stress, admission-queue
-# backpressure, and the /v1/predict decoder corpus — all under -race.
+# serve-test is the focused gate for the serving layer: every
+# internal/serve and cmd/wpredd test — the wpredd e2e lifecycle, registry
+# single-flight/eviction stress, admission-queue backpressure, the
+# /v1/predict decoder corpus, snapshot warm-restart, and the
+# /v1/observe → drift-refit loop — all under -race.
 serve-test:
 	$(GO) test -race -count 1 -timeout 10m ./internal/serve/ ./cmd/wpredd/
 
@@ -39,22 +41,19 @@ serve-test:
 # failures and exactly one fit per key fleet-wide), all under -race.
 # The full router/faults/snapshot packages run (including the
 # FuzzDecodeSnapshot seed corpus: corrupt snapshots error, never panic);
-# serve is filtered to its snapshot/restart tests to keep the job short.
+# the serve-side snapshot/restart tests run whole in serve-test.
 chaos-test:
 	$(GO) test -race -count 1 -timeout 15m ./internal/router/ ./internal/faults/ ./internal/snapshot/
-	$(GO) test -race -count 1 -timeout 10m -run 'TestSnapshot|TestHealthPayloadsCarrySnapshotStatus|TestRetryAfterJitter|TestRejectedRequestCarriesJitteredRetryAfter' ./internal/serve/
 
 # drift-test is the focused gate for the streaming drift loop: the
-# changepoint property tests, the internal/drift detector suite, the
-# /v1/observe → background-refit e2e (stale model served during the
-# refit, byte-identical same-seed runs), the refit-vs-restore race
-# stress, and the forecast experiment's quick-mode golden (timing
-# masked; regenerate deliberately with
+# changepoint property tests, the internal/drift detector suite, and the
+# forecast experiment's quick-mode golden (timing masked; regenerate
+# deliberately with
 #   go test ./cmd/experiments -run TestForecastGolden -update
-# ) — all under -race.
+# ) — all under -race. The serve-side /v1/observe → background-refit
+# e2e and the refit-vs-restore race stress run whole in serve-test.
 drift-test:
 	$(GO) test -race -count 1 -timeout 10m ./internal/changepoint/ ./internal/drift/
-	$(GO) test -race -count 1 -timeout 10m -run 'TestObserveRejects|TestDriftE2E|TestDriftState|TestHealthCarriesDrift|TestRegistryRefit' ./internal/serve/
 	$(GO) test -race -count 1 -timeout 10m -run 'TestForecastGolden' ./cmd/experiments/
 
 # experiments regenerates every table and figure at the committed seed.

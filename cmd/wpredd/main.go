@@ -72,9 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxBody      = fs.Int64("max-body", 8<<20, "request-body cap in bytes; larger bodies get 413")
 		warm         = fs.String("warm", "", `extra registry keys to pre-train, semicolon-separated "selection|metric|model" triples (empty fields take the defaults; metric names may contain commas)`)
 		snapshotDir  = fs.String("snapshot-dir", "", "persist trained pipelines here and warm-restart from them; share the directory across replicas to train each key once fleet-wide")
-		indexThresh  = fs.Int("index-threshold", 0, "route nearest-reference lookups through the VP-tree index once a same-SKU reference set reaches this size (0 = pipeline default 256, negative disables indexing)")
-		indexK       = fs.Int("index-k", 0, "neighbors retrieved per indexed reference lookup (0 = pipeline default 32)")
-		indexTau     = fs.Float64("index-tau", 0, "approximate-mode pruning slack for non-metric distances (DTW); larger recalls more, 0 prunes hardest")
 		driftWindow  = fs.Int("drift-window", 0, "observation window per key for /v1/observe drift detection (0 = default 128)")
 		driftHazard  = fs.Float64("drift-hazard", 0, "prior regime-change probability per observation for the drift detector (0 = default 1/100)")
 		driftSeason  = fs.Int("drift-season", 0, "seasonal period in observations for cyclic-drift classification (0 = default 24, negative disables)")
@@ -119,15 +116,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "wpredd: reference suite loaded: %d experiments\n", len(refs))
 
 	srv := serve.New(serve.Config{
-		Refs:           refs,
-		Seed:           *seed,
-		RegistryCap:    *registryCap,
-		QueueSlots:     *queueSlots,
-		MaxBodyBytes:   *maxBody,
-		SnapshotDir:    *snapshotDir,
-		IndexThreshold: *indexThresh,
-		IndexK:         *indexK,
-		IndexTau:       *indexTau,
+		Refs:         refs,
+		Seed:         *seed,
+		RegistryCap:  *registryCap,
+		QueueSlots:   *queueSlots,
+		MaxBodyBytes: *maxBody,
+		SnapshotDir:  *snapshotDir,
 		Drift: drift.Config{
 			Window: *driftWindow,
 			Hazard: *driftHazard,

@@ -9,11 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
-	"sync"
 
-	"wpred/internal/ann"
 	"wpred/internal/distance"
 	"wpred/internal/featsel"
 	"wpred/internal/fingerprint"
@@ -94,24 +91,6 @@ type Config struct {
 	// MinValidRefs is the smallest number of usable reference experiments
 	// Train accepts after sanitization (default 2).
 	MinValidRefs int
-	// IndexThreshold routes reference lookups through a VP-tree index
-	// (simeval.BuildReferenceIndex) once the same-SKU reference set
-	// reaches this many experiments, replacing the O(N²) pairwise matrix
-	// with per-target k-NN lookups. Below the threshold the exhaustive
-	// path runs unchanged, so small suites — including every committed
-	// experiment — stay byte-identical. The indexed path differs
-	// deliberately: the fingerprint builder is fitted on the references
-	// only (Fit-once/Query-many; a library at this scale cannot be
-	// re-normalized per query), and the ranking is computed over the
-	// IndexK nearest references instead of all of them. 0 selects the
-	// default (256); negative disables indexing entirely.
-	IndexThreshold int
-	// IndexK is the neighbor count per indexed lookup (default 32).
-	IndexK int
-	// IndexTau is the approximate-mode pruning slack for non-metric
-	// distances such as DTW (see ann.Config.Tau); ignored by metric-space
-	// distances, which the index answers exactly.
-	IndexTau float64
 	// Seed drives every randomized component.
 	Seed uint64
 }
@@ -131,12 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinValidRefs == 0 {
 		c.MinValidRefs = 2
-	}
-	if c.IndexThreshold == 0 {
-		c.IndexThreshold = 256
-	}
-	if c.IndexK == 0 {
-		c.IndexK = 32
 	}
 	// Representation, Strategy, and Context zero values already name the
 	// paper's recommended defaults (Hist-FP, SVM, Pairwise).
@@ -163,21 +136,6 @@ type Pipeline struct {
 	selected []telemetry.Feature
 	dropped  []DroppedExperiment
 	classOf  map[string]string // workload → class name (for NDCG-style reporting)
-
-	// indexes caches one fitted builder + reference index per
-	// (SKU, plan-only) similarity context, built lazily on the first
-	// Predict that crosses IndexThreshold and reused by every subsequent
-	// lookup (Fit-once/Query-many). Guarded by idxMu; reset on Train.
-	idxMu   sync.Mutex
-	indexes map[string]*refIndex
-}
-
-// refIndex pairs a reference-fitted fingerprint builder with the VP-tree
-// over the fingerprints it produced; queries must be encoded by the same
-// builder to share the normalization ranges.
-type refIndex struct {
-	builder *fingerprint.Builder
-	ri      *simeval.ReferenceIndex
 }
 
 // New returns an untrained pipeline with the given configuration.
@@ -270,9 +228,6 @@ func (p *Pipeline) train(refs []*telemetry.Experiment, sp *obs.Span) error {
 		}
 	}
 	p.refs = kept
-	p.idxMu.Lock()
-	p.indexes = nil // reference set changed; indexes rebuild lazily
-	p.idxMu.Unlock()
 
 	fsp := sp.Child("featsel")
 	defer func() { trainFeatselSeconds.ObserveDuration(fsp.End()) }()
@@ -535,8 +490,10 @@ func factorInterval(rds *scalemodel.Dataset, fromIdx, toIdx int) (lo, hi float64
 
 // similarTo fingerprints the target alongside same-SKU references and
 // returns every reference workload ranked by ascending mean normalized
-// distance, plus the distance map itself. Predict walks the ranking so a
-// reference with unusable scaling data degrades to the next-nearest.
+// distance (ties broken by name), plus the distance map itself. Only the
+// target-vs-reference distances are evaluated (simeval.RankWorkloads).
+// Predict walks the ranking so a reference with unusable scaling data
+// degrades to the next-nearest.
 func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]string, map[string]float64, error) {
 	refs := make([]*telemetry.Experiment, 0, len(p.refs))
 	for _, e := range p.refs {
@@ -575,139 +532,19 @@ func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) 
 		features = kept
 	}
 
-	// Large libraries go through the VP-tree reference index; small ones
-	// (every committed suite) keep the exhaustive matrix bit-for-bit.
-	if p.cfg.IndexThreshold > 0 && len(refs) >= p.cfg.IndexThreshold {
-		return p.similarToIndexed(refs, target, features, sku, planOnly)
-	}
-
 	b := &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
 	if err := b.Fit(all); err != nil {
 		return nil, nil, err
 	}
-	items := make([]simeval.Item, 0, len(all))
-	for _, e := range refs {
+	items := make([]simeval.Item, len(all))
+	for i, e := range all {
 		fp, err := b.Build(e)
 		if err != nil {
 			return nil, nil, err
 		}
-		items = append(items, simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp})
+		items[i] = simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp}
 	}
-	targetStart := len(items)
-	for _, e := range target {
-		fp, err := b.Build(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		items = append(items, simeval.Item{Workload: "\x00target", Run: e.Run, FP: fp})
-	}
-	matrix, err := simeval.ComputeMatrix(items, p.cfg.Metric)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Mean distance from every target item to each reference workload.
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for q := targetStart; q < len(items); q++ {
-		_, d := matrix.NearestWorkload(q)
-		for w, v := range d {
-			sums[w] += v
-			counts[w]++
-		}
-	}
-	names := make([]string, 0, len(sums))
-	for w := range sums {
-		sums[w] /= float64(counts[w])
-		names = append(names, w)
-	}
-	if len(names) == 0 {
-		return nil, nil, errors.New("core: no reference workloads to compare against")
-	}
-	sort.Slice(names, func(a, b int) bool { return sums[names[a]] < sums[names[b]] })
-	return names, sums, nil
-}
-
-// similarToIndexed is the sublinear variant of similarTo (see "Sublinear
-// similarity" in DESIGN.md): one VP-tree per (SKU, plan-only) context,
-// built lazily on first use and reused across Predict calls. It differs
-// from the exhaustive path in two documented ways — the fingerprint
-// builder is fitted on the references alone, and each target votes over
-// its IndexK nearest references rather than the whole library — which is
-// why it only engages beyond IndexThreshold.
-func (p *Pipeline) similarToIndexed(refs, target []*telemetry.Experiment, features []telemetry.Feature, sku telemetry.SKU, planOnly bool) ([]string, map[string]float64, error) {
-	key := fmt.Sprintf("%v|%t", sku, planOnly)
-	p.idxMu.Lock()
-	if p.indexes == nil {
-		p.indexes = map[string]*refIndex{}
-	}
-	ix, ok := p.indexes[key]
-	if !ok {
-		var err error
-		ix, err = p.buildRefIndex(refs, features)
-		if err != nil {
-			p.idxMu.Unlock()
-			return nil, nil, err
-		}
-		p.indexes[key] = ix
-	}
-	p.idxMu.Unlock()
-
-	// The builder is read-only after Fit and the index is immutable, so
-	// concurrent Predict calls only need their own query buffer.
-	buf := &ann.QueryBuffer{}
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, e := range target {
-		fp, err := ix.builder.Build(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, d, _, err := ix.ri.NearestWorkloadIndexed(fp, p.cfg.IndexK, "", buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		for w, v := range d {
-			sums[w] += v
-			counts[w]++
-		}
-	}
-	names := make([]string, 0, len(sums))
-	for w := range sums {
-		sums[w] /= float64(counts[w])
-		names = append(names, w)
-	}
-	if len(names) == 0 {
-		return nil, nil, errors.New("core: no reference workloads to compare against")
-	}
-	sort.Slice(names, func(a, b int) bool {
-		if sums[names[a]] != sums[names[b]] {
-			return sums[names[a]] < sums[names[b]]
-		}
-		return names[a] < names[b]
-	})
-	return names, sums, nil
-}
-
-// buildRefIndex fits a fingerprint builder on the references only and
-// indexes the resulting fingerprints. Callers hold idxMu.
-func (p *Pipeline) buildRefIndex(refs []*telemetry.Experiment, features []telemetry.Feature) (*refIndex, error) {
-	b := &fingerprint.Builder{Rep: p.cfg.Representation, Features: features}
-	if err := b.Fit(refs); err != nil {
-		return nil, err
-	}
-	items := make([]simeval.Item, 0, len(refs))
-	for _, e := range refs {
-		fp, err := b.Build(e)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, simeval.Item{Workload: e.Workload, Run: e.Run, FP: fp})
-	}
-	ri, err := simeval.BuildReferenceIndex(items, p.cfg.Metric, ann.Config{Seed: p.cfg.Seed, Tau: p.cfg.IndexTau})
-	if err != nil {
-		return nil, err
-	}
-	return &refIndex{builder: b, ri: ri}, nil
+	return simeval.RankWorkloads(items[:len(refs)], items[len(refs):], p.cfg.Metric)
 }
 
 // rooflineBound fits a roofline on the reference workload's observed

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wpred/internal/bench"
+	"wpred/internal/obs"
 	"wpred/internal/scalemodel"
 	"wpred/internal/simdb"
 	"wpred/internal/telemetry"
@@ -153,65 +154,66 @@ func TestPipelineErrors(t *testing.T) {
 	}
 }
 
-// TestPipelineIndexedSimilarity forces the VP-tree reference path by
-// dropping IndexThreshold to 1 and checks the end-to-end contract: the
-// prediction stays sane, and on this clustered reference suite the
-// indexed decision agrees with the exhaustive one (deterministic data, so
-// a pass is stable).
-func TestPipelineIndexedSimilarity(t *testing.T) {
-	src := telemetry.NewSource(12)
-	small := telemetry.SKU{CPUs: 2, MemoryGB: 16}
-	large := telemetry.SKU{CPUs: 8, MemoryGB: 64}
-	var refs []*telemetry.Experiment
-	for _, name := range []string{bench.TPCCName, bench.TwitterName, bench.TPCHName} {
-		w, err := bench.ByName(name)
+// TestPipelineTiedReferencesRankByName duplicates the TPC-C references
+// under a second name, so the two workloads tie at every distance, and
+// requires every prediction to pick the same one: ties in the reference
+// ranking break by name, never by map iteration order.
+func TestPipelineTiedReferencesRankByName(t *testing.T) {
+	_, refs, small, large := trainedPipeline(t)
+	const twin = bench.TPCCName + " (copy)"
+	for _, e := range refs {
+		if e.Workload == bench.TPCCName {
+			c := *e
+			c.Workload = twin
+			refs = append(refs, &c)
+		}
+	}
+	p := New(Config{Seed: 12, Subsamples: 5})
+	if err := p.Train(refs); err != nil {
+		t.Fatal(err)
+	}
+	tpcc, _ := bench.ByName(bench.TPCCName)
+	target := []*telemetry.Experiment{simulateQuick(tpcc, small, 8, 0, telemetry.NewSource(16))}
+	for i := 0; i < 50; i++ {
+		pred, _, err := p.PredictWithReport(target, large)
 		if err != nil {
 			t.Fatal(err)
 		}
-		terms := 8
-		if bench.Serial(name) {
-			terms = 1
+		if d, dt := pred.Distances[bench.TPCCName], pred.Distances[twin]; d != dt {
+			t.Fatalf("duplicated references must tie: %v vs %v", d, dt)
 		}
-		for _, sku := range []telemetry.SKU{small, large} {
-			for r := 0; r < 3; r++ {
-				refs = append(refs, simulateQuick(w, sku, terms, r, src))
-			}
+		if pred.NearestReference != bench.TPCCName {
+			t.Fatalf("call %d: nearest reference %q, want %q (ties break by name)", i, pred.NearestReference, bench.TPCCName)
 		}
 	}
-	indexed := New(Config{Seed: 12, Subsamples: 5, IndexThreshold: 1})
-	if err := indexed.Train(refs); err != nil {
-		t.Fatal(err)
-	}
-	exhaustive := New(Config{Seed: 12, Subsamples: 5, IndexThreshold: -1})
-	if err := exhaustive.Train(refs); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	tsrc := telemetry.NewSource(13)
+// TestPredictCountsTargetReferencePairs checks that one prediction
+// evaluates exactly T×R distances, R being the same-SKU reference count,
+// and counts them in wpred_simeval_pairs_total{outcome="exact"}.
+func TestPredictCountsTargetReferencePairs(t *testing.T) {
+	p, refs, small, large := trainedPipeline(t)
+	sameSKU := 0
+	for _, e := range refs {
+		if e.SKU == small {
+			sameSKU++
+		}
+	}
+	exact := obs.GetCounter("wpred_simeval_pairs_total",
+		"Similarity-stage pair evaluations by outcome.", obs.Labels{"outcome": "exact"})
+	src := telemetry.NewSource(17)
 	ycsb, _ := bench.ByName(bench.YCSBName)
 	var target []*telemetry.Experiment
 	for r := 0; r < 3; r++ {
-		target = append(target, simulateQuick(ycsb, small, 8, r, tsrc))
+		target = append(target, simulateQuick(ycsb, small, 8, r, src))
 	}
-	got, err := indexed.Predict(target, large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exhaustive.Predict(target, large)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NearestReference == "" || len(got.Distances) == 0 {
-		t.Fatalf("indexed path returned no similarity evidence: %+v", got)
-	}
-	if got.NearestReference != want.NearestReference {
-		t.Fatalf("indexed nearest %q != exhaustive %q", got.NearestReference, want.NearestReference)
-	}
-	if got.PredictedThroughput <= 0 {
-		t.Fatalf("implausible indexed prediction %v", got.PredictedThroughput)
-	}
-	// Second Predict reuses the cached index (covered by -race).
-	if _, err := indexed.Predict(target, large); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, 3} {
+		before := exact.Value()
+		if _, _, err := p.PredictWithReport(target[:n], large); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := exact.Value()-before, uint64(n*sameSKU); got != want {
+			t.Fatalf("%d targets × %d references: counted %d exact pairs, want %d", n, sameSKU, got, want)
+		}
 	}
 }

@@ -48,15 +48,6 @@ type Config struct {
 	TopK       int
 	Subsamples int
 	Sanitize   telemetry.SanitizePolicy
-	// IndexThreshold, IndexK, and IndexTau pass through to core.Config:
-	// cold fits against a reference suite at or beyond IndexThreshold
-	// same-SKU experiments route nearest-reference lookups through the
-	// VP-tree index instead of the exhaustive pairwise matrix (see
-	// "Sublinear similarity" in DESIGN.md). Zero values select the
-	// pipeline defaults (threshold 256, k 32, τ 0).
-	IndexThreshold int
-	IndexK         int
-	IndexTau       float64
 	// SnapshotDir, when non-empty, makes trained models durable: every
 	// fit is snapshotted there atomically, cold misses consult it before
 	// training (so a fleet sharing one directory never trains a key
@@ -179,16 +170,13 @@ func (s *Server) pipelineConfig(k Key) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("serve: unknown model %q", k.Model)
 	}
 	return core.Config{
-		Selection:      sel,
-		Metric:         met,
-		Strategy:       mod,
-		TopK:           s.cfg.TopK,
-		Subsamples:     s.cfg.Subsamples,
-		Sanitize:       s.cfg.Sanitize,
-		IndexThreshold: s.cfg.IndexThreshold,
-		IndexK:         s.cfg.IndexK,
-		IndexTau:       s.cfg.IndexTau,
-		Seed:           s.cfg.Seed,
+		Selection:  sel,
+		Metric:     met,
+		Strategy:   mod,
+		TopK:       s.cfg.TopK,
+		Subsamples: s.cfg.Subsamples,
+		Sanitize:   s.cfg.Sanitize,
+		Seed:       s.cfg.Seed,
 	}, nil
 }
 

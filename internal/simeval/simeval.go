@@ -369,7 +369,7 @@ func (m *Matrix) RobustnessReport(query string) []PairStat {
 // NearestWorkload returns, for a query item index, the reference workload
 // with the smallest mean distance from the query, plus the per-workload
 // mean distances. It is the decision rule of the end-to-end pipeline
-// (§6.2.3).
+// (§6.2.3); RankWorkloads applies it without building the matrix.
 func (m *Matrix) NearestWorkload(q int) (string, map[string]float64) {
 	sums := map[string]float64{}
 	counts := map[string]int{}
@@ -389,4 +389,51 @@ func (m *Matrix) NearestWorkload(q int) (string, map[string]float64) {
 		}
 	}
 	return best, sums
+}
+
+// RankWorkloads is the end-to-end pipeline's reference ranking (§6.2.3):
+// for every target it takes the mean distance to each reference workload's
+// runs, averages those per-workload means over the targets, and returns the
+// workloads by ascending mean distance, ties broken by name, together with
+// the means. Only the T×R target-vs-reference pairs are evaluated, as
+// m.Distance(ref, target) summed in reference order, so the means are
+// bit-identical to Matrix.NearestWorkload over a ComputeMatrix of the
+// references followed by the targets.
+func RankWorkloads(refs, targets []Item, m distance.Metric) ([]string, map[string]float64, error) {
+	if len(refs) == 0 || len(targets) == 0 {
+		return nil, nil, fmt.Errorf("simeval: ranking needs references and targets (got %d and %d)", len(refs), len(targets))
+	}
+	counts := map[string]int{}
+	for _, r := range refs {
+		counts[r.Workload]++
+	}
+	sums := make(map[string]float64, len(counts))
+	dists := make(map[string]float64, len(counts))
+	for ti, t := range targets {
+		clear(sums)
+		for _, r := range refs {
+			d, err := m.Distance(r.FP.M, t.FP.M)
+			if err != nil {
+				return nil, nil, fmt.Errorf("simeval: %s(%s,target %d): %w", m.Name(), r.Workload, ti, err)
+			}
+			sums[r.Workload] += d
+		}
+		for w, s := range sums {
+			dists[w] += s / float64(counts[w])
+		}
+	}
+	simPairsExact.Add(uint64(len(refs) * len(targets)))
+	names := make([]string, 0, len(dists))
+	for w := range dists {
+		dists[w] /= float64(len(targets))
+		names = append(names, w)
+	}
+	sort.Slice(names, func(a, b int) bool {
+		da, db := dists[names[a]], dists[names[b]]
+		if da != db {
+			return da < db
+		}
+		return names[a] < names[b]
+	})
+	return names, dists, nil
 }
