@@ -20,11 +20,13 @@ race:
 # in the worker pool and the suite's shared caches are exercised here.
 verify: build vet race
 
-# fuzz runs the telemetry decoder and VP-tree query fuzzers for short
-# bursts beyond their committed seed corpora (the corpora themselves run
-# as plain tests under make test/verify).
+# fuzz runs the telemetry decoder, the wpredd request decoder (checked
+# against its two-pass oracle), and VP-tree query fuzzers for short bursts
+# beyond their committed seed corpora (the corpora themselves run as plain
+# tests under make test/verify).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadExperiments -fuzztime 30s ./internal/telemetry/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePredictRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzVPTreeQuery -fuzztime 30s ./internal/ann/
 
 # serve-test is the focused gate for the serving layer: every

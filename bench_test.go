@@ -216,7 +216,7 @@ func BenchmarkPipelinePredict(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Predict(target, large); err != nil {
+		if _, _, err := p.PredictWithReport(target, large); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -135,26 +135,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targetExps = wpred.GenerateSuite([]*wpred.Workload{target}, []wpred.SKU{fromSKU}, []int{*terminals}, 3, src)
 	}
 
-	// warned counts dropped-experiment warnings already printed, so each
-	// sanitization rejection is reported once across Train and Predict.
-	warned := 0
-	warnDropped := func(p *wpred.Pipeline) {
-		dropped := p.Dropped()
-		for _, d := range dropped[warned:] {
-			fmt.Fprintf(stderr, "wpredict: warning: dropped %s (%s, %s): %s\n",
-				d.ID, d.Workload, d.Stage, d.Report)
-		}
-		warned = len(dropped)
-	}
-
 	p := wpred.NewPipeline(wpred.PipelineConfig{Seed: *seed})
 	if err := p.Train(refExps); err != nil {
 		fmt.Fprintln(stderr, "wpredict: train:", err)
 		return 1
 	}
-	warnDropped(p)
-	pred, err := p.Predict(targetExps, toSKU)
-	warnDropped(p)
+	pred, dropped, err := p.PredictWithReport(targetExps, toSKU)
+	for _, d := range append(p.Dropped(), dropped...) {
+		fmt.Fprintf(stderr, "wpredict: warning: dropped %s (%s, %s): %s\n",
+			d.ID, d.Workload, d.Stage, d.Report)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "wpredict: predict:", err)
 		return 1

@@ -43,7 +43,7 @@ func main() {
 	measured := wpred.GenerateSuite([]*wpred.Workload{ycsb}, []wpred.SKU{small}, []int{8}, 3, src)
 
 	// 4. Predict its throughput on the large SKU.
-	pred, err := pipeline.Predict(measured, large)
+	pred, _, err := pipeline.PredictWithReport(measured, large)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func main() {
 		}
 		tw2, _ := wpred.WorkloadByName("Twitter")
 		target := wpred.GenerateSuite([]*wpred.Workload{tw2}, []wpred.SKU{skus[0]}, []int{8}, 1, src)
-		pred, err := p.Predict(target, skus[3])
+		pred, _, err := p.PredictWithReport(target, skus[3])
 		if err != nil {
 			log.Fatal(err)
 		}

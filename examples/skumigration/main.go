@@ -48,7 +48,7 @@ func main() {
 	}
 	measured := wpred.GenerateSuite([]*wpred.Workload{ycsb}, []wpred.SKU{s1}, []int{8}, 3, src)
 
-	pred, err := pipeline.Predict(measured, s2)
+	pred, _, err := pipeline.PredictWithReport(measured, s2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,12 +56,12 @@ func TestTrainSentinelErrors(t *testing.T) {
 
 func TestPredictSentinelErrors(t *testing.T) {
 	p := New(Config{})
-	if _, err := p.Predict(nil, telemetry.SKU{CPUs: 8}); !errors.Is(err, ErrNotTrained) {
+	if _, _, err := p.PredictWithReport(nil, telemetry.SKU{CPUs: 8}); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("untrained Predict = %v, want ErrNotTrained", err)
 	}
 
 	p2, _, small, large := trainedPipeline(t)
-	if _, err := p2.Predict(nil, large); !errors.Is(err, ErrNoTargets) {
+	if _, _, err := p2.PredictWithReport(nil, large); !errors.Is(err, ErrNoTargets) {
 		t.Fatalf("empty target = %v, want ErrNoTargets", err)
 	}
 
@@ -71,12 +71,12 @@ func TestPredictSentinelErrors(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		simulateQuick(ycsb, large, 8, 0, src),
 	}
-	if _, err := p2.Predict(mixed, large); !errors.Is(err, ErrMixedSKUs) {
+	if _, _, err := p2.PredictWithReport(mixed, large); !errors.Is(err, ErrMixedSKUs) {
 		t.Fatalf("mixed-SKU target = %v, want ErrMixedSKUs", err)
 	}
 
 	bad := []*telemetry.Experiment{wreck(simulateQuick(ycsb, small, 8, 0, src))}
-	if _, err := p2.Predict(bad, large); !errors.Is(err, ErrNoUsableTargets) {
+	if _, _, err := p2.PredictWithReport(bad, large); !errors.Is(err, ErrNoUsableTargets) {
 		t.Fatalf("all-wrecked target = %v, want ErrNoUsableTargets", err)
 	}
 }
@@ -117,19 +117,18 @@ func TestTrainDropsUnusableReferences(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		wreck(simulateQuick(ycsb, small, 8, 1, src)),
 	}
-	pred, err := p.Predict(target, large)
+	pred, predDropped, err := p.PredictWithReport(target, large)
 	if err != nil {
-		t.Fatalf("Predict must survive one bad target: %v", err)
+		t.Fatalf("PredictWithReport must survive one bad target: %v", err)
 	}
 	if pred.PredictedThroughput <= 0 {
 		t.Fatalf("degraded prediction %v", pred.PredictedThroughput)
 	}
-	dropped = p.Dropped()
-	if len(dropped) != 2 {
-		t.Fatalf("Dropped() has %d entries after Predict, want 2", len(dropped))
+	if len(predDropped) != 1 || predDropped[0].Stage != "predict" || predDropped[0].Workload != bench.YCSBName {
+		t.Fatalf("predict-stage drops %+v, want one YCSB entry", predDropped)
 	}
-	if dropped[1].Stage != "predict" || dropped[1].Workload != bench.YCSBName {
-		t.Fatalf("predict-stage entry %+v malformed", dropped[1])
+	if n := len(p.Dropped()); n != 1 {
+		t.Fatalf("Dropped() has %d entries after a prediction, want the 1 train-stage entry", n)
 	}
 }
 
@@ -163,7 +162,7 @@ func TestPredictFallsBackToUsableReference(t *testing.T) {
 	}
 	ycsb, _ := bench.ByName(bench.YCSBName)
 	target := []*telemetry.Experiment{simulateQuick(ycsb, small, 8, 0, src)}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatalf("fallback must find the scalable reference: %v", err)
 	}
@@ -182,7 +181,7 @@ func TestPredictFallsBackToUsableReference(t *testing.T) {
 	if err := p2.Train(smallOnly); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Predict(target, large); !errors.Is(err, ErrNoScalingReference) {
+	if _, _, err := p2.PredictWithReport(target, large); !errors.Is(err, ErrNoScalingReference) {
 		t.Fatalf("unscalable references = %v, want ErrNoScalingReference", err)
 	}
 }

@@ -160,17 +160,17 @@ func (p *Pipeline) SelectedFeatures() []telemetry.Feature {
 	return append([]telemetry.Feature(nil), p.selected...)
 }
 
-// Dropped returns every experiment rejected since the last Train — the
-// degradation accounting for both training references and prediction
-// targets. The slice resets on Train and grows on each Predict.
+// Dropped returns the reference experiments the last Train rejected —
+// the train-stage degradation accounting. Prediction-stage rejections are
+// returned per call by PredictWithReport and never stored here.
 func (p *Pipeline) Dropped() []DroppedExperiment {
 	return append([]DroppedExperiment(nil), p.dropped...)
 }
 
 // sanitize runs the corruption pass over a batch, recording rejections
 // under the given stage into dst, and returns the usable sanitized
-// experiments. The collector is caller-owned so concurrent Predict calls
-// never append to shared pipeline state.
+// experiments. The collector is caller-owned so concurrent
+// PredictWithReport calls never append to shared pipeline state.
 func (p *Pipeline) sanitize(exps []*telemetry.Experiment, stage string, dst *[]DroppedExperiment) []*telemetry.Experiment {
 	kept := make([]*telemetry.Experiment, 0, len(exps))
 	for _, e := range exps {
@@ -276,35 +276,23 @@ type Prediction struct {
 	SelectedFeatures []telemetry.Feature
 }
 
-// Predict runs the full pipeline: sanitize the target measurements (taken
-// on their SKU), fingerprint them, find the most similar reference
-// workload, fit the scaling model from the target's SKU to toSKU on that
-// reference's data, and apply it to the target's observed throughput.
+// PredictWithReport runs the full pipeline: sanitize the target
+// measurements (taken on their SKU), fingerprint them, find the most
+// similar reference workload, fit the scaling model from the target's SKU
+// to toSKU on that reference's data, and apply it to the target's observed
+// throughput.
 //
-// Predict degrades rather than aborts on dirty inputs: unusable target
-// experiments are dropped (see Dropped) as long as at least one survives,
-// and when the nearest reference cannot supply a scaling dataset for the
-// SKU pair — for example because its runs were rejected during Train —
-// the next-nearest reference is used instead.
+// It degrades rather than aborts on dirty inputs: unusable target
+// experiments are dropped and returned to the caller as long as at least
+// one survives, and when the nearest reference cannot supply a scaling
+// dataset for the SKU pair — for example because its runs were rejected
+// during Train — the next-nearest reference is used instead.
 //
-// Predict appends rejected targets to the pipeline's shared Dropped
-// accounting and is therefore not safe for concurrent use; long-running
-// callers that share one trained pipeline across goroutines (the wpredd
-// serving layer) use PredictWithReport instead.
-func (p *Pipeline) Predict(target []*telemetry.Experiment, toSKU telemetry.SKU) (*Prediction, error) {
-	pred, dropped, err := p.PredictWithReport(target, toSKU)
-	p.dropped = append(p.dropped, dropped...)
-	return pred, err
-}
-
-// PredictWithReport is Predict with per-call degradation accounting: the
-// experiments rejected by sanitization are returned to the caller instead
-// of being appended to the pipeline's shared Dropped slice. Because it
-// only reads pipeline state (the trained references, selected features,
-// and configuration), it is safe for any number of goroutines to call
-// concurrently on one trained pipeline, and — everything downstream being
-// deterministic in the config seed — always returns the same result for
-// the same inputs.
+// Because it only reads pipeline state (the trained references, selected
+// features, and configuration), it is safe for any number of goroutines to
+// call concurrently on one trained pipeline, and — everything downstream
+// being deterministic in the config seed — always returns the same result
+// for the same inputs.
 func (p *Pipeline) PredictWithReport(target []*telemetry.Experiment, toSKU telemetry.SKU) (*Prediction, []DroppedExperiment, error) {
 	sp := obs.StartSpan("pipeline.predict")
 	sp.SetAttr("targets", strconv.Itoa(len(target)))
@@ -492,8 +480,8 @@ func factorInterval(rds *scalemodel.Dataset, fromIdx, toIdx int) (lo, hi float64
 // returns every reference workload ranked by ascending mean normalized
 // distance (ties broken by name), plus the distance map itself. Only the
 // target-vs-reference distances are evaluated (simeval.RankWorkloads).
-// Predict walks the ranking so a reference with unusable scaling data
-// degrades to the next-nearest.
+// PredictWithReport walks the ranking so a reference with unusable
+// scaling data degrades to the next-nearest.
 func (p *Pipeline) similarTo(target []*telemetry.Experiment, sku telemetry.SKU) ([]string, map[string]float64, error) {
 	refs := make([]*telemetry.Experiment, 0, len(p.refs))
 	for _, e := range p.refs {

@@ -68,7 +68,7 @@ func TestPipelinePredictEndToEnd(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		target = append(target, simulateQuick(ycsb, small, 8, r, src))
 	}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPipelineSingleContext(t *testing.T) {
 	}
 	ycsb, _ := bench.ByName(bench.YCSBName)
 	target := []*telemetry.Experiment{simulateQuick(ycsb, small, 8, 0, src)}
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +134,12 @@ func TestPipelineErrors(t *testing.T) {
 	if err := p.Train(nil); err == nil {
 		t.Fatal("training without references must error")
 	}
-	if _, err := p.Predict(nil, telemetry.SKU{CPUs: 8}); err == nil {
+	if _, _, err := p.PredictWithReport(nil, telemetry.SKU{CPUs: 8}); err == nil {
 		t.Fatal("predicting untrained must error")
 	}
 
 	p2, _, small, large := trainedPipeline(t)
-	if _, err := p2.Predict(nil, large); err == nil {
+	if _, _, err := p2.PredictWithReport(nil, large); err == nil {
 		t.Fatal("empty target must error")
 	}
 	// Targets spanning SKUs must be rejected.
@@ -149,7 +149,7 @@ func TestPipelineErrors(t *testing.T) {
 		simulateQuick(ycsb, small, 8, 0, src),
 		simulateQuick(ycsb, large, 8, 0, src),
 	}
-	if _, err := p2.Predict(mixed, large); err == nil {
+	if _, _, err := p2.PredictWithReport(mixed, large); err == nil {
 		t.Fatal("mixed-SKU target must error")
 	}
 }

@@ -38,7 +38,7 @@ func TestRooflineClampLimitsExtrapolation(t *testing.T) {
 		}
 		tw2, _ := bench.ByName(bench.TwitterName)
 		target := []*telemetry.Experiment{simulateQuick(tw2, skus[0], 8, 7, src)}
-		pred, err := p.Predict(target, skus[3])
+		pred, _, err := p.PredictWithReport(target, skus[3])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // PipelineState is the restorable state of a trained Pipeline: everything
-// Train computed that Predict later reads. Together with the Config the
+// Train computed that PredictWithReport later reads. Together with the Config the
 // pipeline was trained under, it fully determines every future prediction —
 // scaling models are fitted per prediction from the retained references and
 // the deterministic seed, so nothing else needs to be captured. The

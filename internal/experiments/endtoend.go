@@ -37,7 +37,7 @@ func (s *Suite) Figure10() (*Figure10Result, error) {
 		return nil, err
 	}
 	// Predict to the same SKU: we only need the similarity side effects.
-	pred, err := p.Predict(target, SKU2)
+	pred, _, err := p.PredictWithReport(target, SKU2)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (s *Suite) Figure11() (*Figure11Result, error) {
 	}
 	var preds, actuals []float64
 	for _, e := range target2 {
-		pr, err := p.Predict([]*telemetry.Experiment{e}, sku8)
+		pr, _, err := p.PredictWithReport([]*telemetry.Experiment{e}, sku8)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +158,7 @@ func (s *Suite) Figure11() (*Figure11Result, error) {
 	if err := pb.Train(refExpsB); err != nil {
 		return nil, err
 	}
-	prB, err := pb.Predict(targetS1, s2)
+	prB, _, err := pb.PredictWithReport(targetS1, s2)
 	if err != nil {
 		return nil, err
 	}

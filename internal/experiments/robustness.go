@@ -106,14 +106,8 @@ func (s *Suite) Robustness() (*FaultSweepResult, error) {
 			}
 			return cell
 		}
-		pred, err := p.Predict(in.Corrupt(targetExps), sku8)
-		for _, d := range p.Dropped() {
-			if d.Stage == "train" {
-				cell.DroppedRefs++
-			} else {
-				cell.DroppedTargets++
-			}
-		}
+		pred, dropped, err := p.PredictWithReport(in.Corrupt(targetExps), sku8)
+		cell.DroppedRefs, cell.DroppedTargets = len(p.Dropped()), len(dropped)
 		if err != nil {
 			cell.Err = shortErr(err)
 			return cell

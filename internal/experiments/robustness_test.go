@@ -33,12 +33,12 @@ func TestRobustnessZeroRateReproducesCleanPrediction(t *testing.T) {
 		if err := p.Train(re); err != nil {
 			t.Fatal(err)
 		}
-		pred, err := p.Predict(te, sku8)
+		pred, dropped, err := p.PredictWithReport(te, sku8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Dropped()) != 0 {
-			t.Fatalf("clean experiments dropped: %v", p.Dropped())
+		if dropped = append(p.Dropped(), dropped...); len(dropped) != 0 {
+			t.Fatalf("clean experiments dropped: %v", dropped)
 		}
 		return pred
 	}

@@ -51,6 +51,11 @@ func (s *Schedule) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// Request returns the URL path and body of the i-th scheduled request.
+func (s *Schedule) Request(i int) (path string, body []byte) {
+	return s.Requests[i].path, s.Requests[i].body
+}
+
 // serializableFaultModels are the telemetry fault models whose corruption
 // survives JSON marshalling: the wire format rejects NaN, so the
 // NaN-shaped models (dropped ticks, value corruption, counter dropout)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,11 +45,7 @@ func marshalPredictKey(t *testing.T, k Key, toCPUs int) []byte {
 		ToSKU:     skuJSON{CPUs: toCPUs},
 	}
 	for _, e := range targets {
-		var buf strings.Builder
-		if err := telemetry.WriteExperiment(&buf, e); err != nil {
-			t.Fatal(err)
-		}
-		raw.Target = append(raw.Target, json.RawMessage(buf.String()))
+		raw.Target = append(raw.Target, telemetry.ToJSON(e))
 	}
 	body, err := json.Marshal(raw)
 	if err != nil {
@@ -95,6 +90,8 @@ func TestObserveRejectsMalformedRequests(t *testing.T) {
 		{"truncated JSON", `{"tick": 1,`},
 		{"unknown field", `{"tick": 1, "observed": 2, "predicted": 2, "bogus": true}`},
 		{"trailing data", `{"tick": 1, "observed": 2, "predicted": 2}{"again": true}`},
+		{"trailing brace", `{"tick": 1, "observed": 2, "predicted": 2}}`},
+		{"trailing bracket", `{"tick": 1, "observed": 2, "predicted": 2}]`},
 		{"overflowing observed", `{"tick": 1, "observed": 1e999, "predicted": 2}`},
 		{"NaN via string", `{"tick": 1, "observed": "NaN", "predicted": 2}`},
 		{"unknown selection", `{"selection": "NoSuchStrategy", "tick": 1, "observed": 2, "predicted": 2}`},
@@ -289,8 +286,8 @@ func TestDriftE2ERefitLoopDeterministic(t *testing.T) {
 	// Same seed, same loop: every captured response is byte-identical.
 	run2 := runDriftScenario(t)
 	for _, c := range []struct {
-		name   string
-		a, b   []byte
+		name string
+		a, b []byte
 	}{
 		{"pre/A", run1.preA, run2.preA},
 		{"pre/B", run1.preB, run2.preB},

@@ -83,17 +83,18 @@ func marshalPredict(t *testing.T, targets []*telemetry.Experiment, toCPUs int) [
 		ToSKU:     skuJSON{CPUs: toCPUs},
 	}
 	for _, e := range targets {
-		var buf bytes.Buffer
-		if err := telemetry.WriteExperiment(&buf, e); err != nil {
-			t.Fatal(err)
-		}
-		raw.Target = append(raw.Target, json.RawMessage(buf.Bytes()))
+		raw.Target = append(raw.Target, telemetry.ToJSON(e))
 	}
 	body, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// batchBody renders a /v1/predict/batch request from single-request bodies.
+func batchBody(items ...[]byte) []byte {
+	return append(append([]byte(`{"requests":[`), bytes.Join(items, []byte(","))...), "]}"...)
 }
 
 func post(t *testing.T, url string, body []byte) (int, []byte) {
@@ -236,10 +237,7 @@ func TestResponsesByteIdenticalAcrossCacheAndConcurrency(t *testing.T) {
 func TestBatchRoundTripDeterministicAcrossWorkers(t *testing.T) {
 	body := predictBody(t, 4)
 	bad := bytes.Replace(predictBody(t, 4), []byte(`"cpus":4`), []byte(`"cpus":16`), 1)
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, bad, body}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := batchBody(body, bad, body)
 
 	runBatch := func(workers int) []byte {
 		prev := parallel.SetMaxWorkers(workers)
@@ -313,10 +311,7 @@ func TestBatchOverCapacityReturns413(t *testing.T) {
 	defer ts.Close()
 
 	body := predictBody(t, 4)
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, body, body}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := batchBody(body, body, body)
 	resp, err := http.Post(ts.URL+"/v1/predict/batch", "application/json", bytes.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
@@ -367,10 +362,7 @@ func TestBatchQueueBusyReturns429(t *testing.T) {
 	}()
 	<-admitted // one of two slots held in flight
 
-	batch, err := json.Marshal(batchRequest{Requests: []json.RawMessage{body, body}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := batchBody(body, body)
 	resp, err := http.Post(ts.URL+"/v1/predict/batch", "application/json", bytes.NewReader(batch))
 	if err != nil {
 		t.Fatal(err)
@@ -540,8 +532,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestRequestValidationStatuses covers the client-error surface: bad
-// JSON, unknown algorithms, empty targets, wrong method, oversized
-// bodies, and target errors that surface from the pipeline.
+// JSON, unknown fields at any depth, trailing data, unknown algorithms,
+// empty targets, wrong method, oversized bodies (also when the cap is
+// crossed after a complete object), and target errors that surface from
+// the pipeline.
 func TestRequestValidationStatuses(t *testing.T) {
 	s := newTestServer(t, Config{MaxBodyBytes: 256 << 10})
 	ts := httptest.NewServer(s.Handler())
@@ -558,7 +552,11 @@ func TestRequestValidationStatuses(t *testing.T) {
 		{"unknown model", bytes.Replace(small, []byte(`"Regression"`), []byte(`"Oracle"`), 1), http.StatusBadRequest},
 		{"no targets", []byte(`{"to_sku":{"cpus":4}}`), http.StatusBadRequest},
 		{"zero cpus", bytes.Replace(small, []byte(`"to_sku":{"cpus":4,"memory_gb":0}`), []byte(`"to_sku":{"cpus":0,"memory_gb":0}`), 1), http.StatusBadRequest},
+		{"unknown field in a target", bytes.Replace(small, []byte(`"workload":`), []byte(`"bogus":1,"workload":`), 1), http.StatusBadRequest},
+		{"trailing brace", append(append([]byte(nil), small...), '}'), http.StatusBadRequest},
+		{"trailing bracket", append(append([]byte(nil), small...), ']'), http.StatusBadRequest},
 		{"oversized", append(append([]byte(nil), small[:len(small)-1]...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
+		{"oversized after the object", append(append([]byte(nil), small...), bytes.Repeat([]byte(" "), 300<<10)...), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

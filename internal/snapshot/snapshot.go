@@ -84,23 +84,22 @@ type droppedJSON struct {
 }
 
 // payloadJSON is the wire form of a snapshot. Reference experiments embed
-// the canonical telemetry JSON documents so the snapshot decoder reuses
-// the hardened telemetry reader (unknown feature names and ragged series
-// are rejected there).
+// the telemetry wire form, so the snapshot decoder reuses its validation
+// (unknown feature names and ragged series are rejected there).
 type payloadJSON struct {
-	Version          int                      `json:"version"`
-	Selection        string                   `json:"selection"`
-	Metric           string                   `json:"metric"`
-	Model            string                   `json:"model"`
-	Seed             uint64                   `json:"seed"`
-	TopK             int                      `json:"top_k"`
-	Subsamples       int                      `json:"subsamples"`
-	Sanitize         telemetry.SanitizePolicy `json:"sanitize"`
-	RefsHash         string                   `json:"refs_hash"`
-	CreatedUnix      int64                    `json:"created_unix"`
-	SelectedFeatures []string                 `json:"selected_features"`
-	Refs             []json.RawMessage        `json:"refs"`
-	Dropped          []droppedJSON            `json:"dropped,omitempty"`
+	Version          int                        `json:"version"`
+	Selection        string                     `json:"selection"`
+	Metric           string                     `json:"metric"`
+	Model            string                     `json:"model"`
+	Seed             uint64                     `json:"seed"`
+	TopK             int                        `json:"top_k"`
+	Subsamples       int                        `json:"subsamples"`
+	Sanitize         telemetry.SanitizePolicy   `json:"sanitize"`
+	RefsHash         string                     `json:"refs_hash"`
+	CreatedUnix      int64                      `json:"created_unix"`
+	SelectedFeatures []string                   `json:"selected_features"`
+	Refs             []telemetry.ExperimentJSON `json:"refs"`
+	Dropped          []droppedJSON              `json:"dropped,omitempty"`
 }
 
 // Encode writes the snapshot to w in the versioned, checksummed format.
@@ -126,13 +125,8 @@ func Encode(w io.Writer, s *Snapshot) error {
 	for _, f := range s.State.Selected {
 		p.SelectedFeatures = append(p.SelectedFeatures, f.String())
 	}
-	var buf bytes.Buffer
 	for _, e := range s.State.Refs {
-		buf.Reset()
-		if err := telemetry.WriteExperiment(&buf, e); err != nil {
-			return fmt.Errorf("snapshot: encode reference %s: %w", e.ID(), err)
-		}
-		p.Refs = append(p.Refs, json.RawMessage(bytes.Clone(bytes.TrimSpace(buf.Bytes()))))
+		p.Refs = append(p.Refs, telemetry.ToJSON(e))
 	}
 	for _, d := range s.State.Dropped {
 		p.Dropped = append(p.Dropped, droppedJSON{ID: d.ID, Workload: d.Workload, Stage: d.Stage, Report: d.Report})
@@ -187,7 +181,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing data after payload", ErrCorrupt)
 	}
 	if p.Version != Version {
@@ -220,8 +214,8 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if len(p.Refs) == 0 {
 		return nil, fmt.Errorf("%w: no reference experiments", ErrCorrupt)
 	}
-	for i, doc := range p.Refs {
-		e, err := telemetry.ReadExperiment(bytes.NewReader(doc))
+	for i := range p.Refs {
+		e, err := p.Refs[i].Experiment()
 		if err != nil {
 			return nil, fmt.Errorf("%w: reference %d: %v", ErrCorrupt, i, err)
 		}

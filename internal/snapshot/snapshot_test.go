@@ -2,11 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -119,19 +121,27 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		return out
 	}
 	nl := bytes.IndexByte(valid, '\n')
+	payload := valid[nl+1:]
+	// resigned re-checksums an edited payload, so only the payload's own
+	// validation can reject it.
+	resigned := func(p []byte) []byte {
+		return append([]byte(fmt.Sprintf("wpredsnap v1 %x\n", sha256.Sum256(p))), p...)
+	}
 	cases := map[string][]byte{
-		"empty":               {},
-		"no newline":          valid[:nl],
-		"magic flipped":       flip(valid, 0),
-		"checksum flipped":    flip(valid, nl-1),
-		"payload flipped":     flip(valid, nl+10),
-		"last byte flipped":   flip(valid, len(valid)-1),
-		"truncated payload":   valid[:len(valid)/2],
-		"truncated header":    valid[:8],
-		"trailing garbage":    append(append([]byte(nil), valid...), "junk"...),
-		"header only":         valid[:nl+1],
-		"garbage":             []byte("not a snapshot at all\n{}"),
-		"valid header no sum": []byte("wpredsnap v1\n{}"),
+		"empty":                          {},
+		"no newline":                     valid[:nl],
+		"magic flipped":                  flip(valid, 0),
+		"checksum flipped":               flip(valid, nl-1),
+		"payload flipped":                flip(valid, nl+10),
+		"last byte flipped":              flip(valid, len(valid)-1),
+		"truncated payload":              valid[:len(valid)/2],
+		"truncated header":               valid[:8],
+		"trailing garbage":               append(append([]byte(nil), valid...), "junk"...),
+		"header only":                    valid[:nl+1],
+		"garbage":                        []byte("not a snapshot at all\n{}"),
+		"valid header no sum":            []byte("wpredsnap v1\n{}"),
+		"trailing brace, checksum valid": resigned(append(append([]byte(nil), payload...), '}')),
+		"unknown key in a reference, checksum valid": resigned(bytes.Replace(payload, []byte(`"workload":`), []byte(`"bogus":1,"workload":`), 1)),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -285,5 +295,40 @@ func TestStorePathStable(t *testing.T) {
 	}
 	if fmt.Sprintf("%s", filepath.Ext(a)) != ext {
 		t.Errorf("path %s missing %s suffix", a, ext)
+	}
+}
+
+// TestCommittedSnapshotReencodesByteIdentical pins the snapshot byte
+// format: the committed valid fuzz seed must decode and re-encode to the
+// same bytes, so a change to the payload's Go types cannot silently change
+// what older daemons wrote or newer ones read.
+func TestCommittedSnapshotReencodesByteIdentical(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", "valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus file is "go test fuzz v1\n[]byte(<Go string literal>)".
+	_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	if !ok || !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus file layout: %.40q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Decode(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != data {
+		i := 0
+		for i < len(got) && i < len(data) && got[i] == data[i] {
+			i++
+		}
+		t.Fatalf("re-encoded snapshot differs from the committed seed at byte %d of %d (got %d bytes)", i, len(data), len(got))
 	}
 }

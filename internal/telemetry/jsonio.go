@@ -1,16 +1,17 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// jsonExperiment is the stable on-disk representation of an Experiment.
-// Feature values are keyed by their Table 2 names, so files remain
-// readable if the catalog order ever changes.
-type jsonExperiment struct {
+// ExperimentJSON is the stable wire and on-disk form of an Experiment, and
+// the only place that form is defined: the telemetry files, the wpredd
+// request targets and the snapshot references all embed it. Feature values
+// are keyed by their Table 2 names, so documents remain readable if the
+// catalog order ever changes. Convert with ToJSON and Experiment.
+type ExperimentJSON struct {
 	Workload   string  `json:"workload"`
 	CPUs       int     `json:"cpus"`
 	MemoryGB   int     `json:"memory_gb"`
@@ -22,18 +23,20 @@ type jsonExperiment struct {
 
 	Resources        map[string][]float64 `json:"resources,omitempty"`
 	ThroughputSeries []float64            `json:"throughput_series,omitempty"`
-	Plans            []jsonPlanObs        `json:"plans,omitempty"`
+	Plans            []PlanJSON           `json:"plans,omitempty"`
 	TxnStats         []TxnMetrics         `json:"txn_stats,omitempty"`
 }
 
-type jsonPlanObs struct {
+// PlanJSON is the wire form of one PlanObservation.
+type PlanJSON struct {
 	Query string             `json:"query"`
 	Stats map[string]float64 `json:"stats"`
 }
 
-// WriteExperiment serializes one experiment as JSON.
-func WriteExperiment(w io.Writer, e *Experiment) error {
-	je := jsonExperiment{
+// ToJSON renders an experiment in its wire form. The result shares e's
+// series slices.
+func ToJSON(e *Experiment) ExperimentJSON {
+	je := ExperimentJSON{
 		Workload:         e.Workload,
 		CPUs:             e.SKU.CPUs,
 		MemoryGB:         e.SKU.MemoryGB,
@@ -52,26 +55,20 @@ func WriteExperiment(w io.Writer, e *Experiment) error {
 		}
 	}
 	for _, p := range e.Plans {
-		jp := jsonPlanObs{Query: p.Query, Stats: map[string]float64{}}
+		jp := PlanJSON{Query: p.Query, Stats: map[string]float64{}}
 		for _, f := range PlanFeatures() {
 			jp.Stats[f.String()] = p.Value(f)
 		}
 		je.Plans = append(je.Plans, jp)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(je)
+	return je
 }
 
-// ReadExperiment parses one experiment from JSON. Unknown feature names
-// are rejected rather than silently dropped, so telemetry produced by a
-// newer catalog fails loudly.
-func ReadExperiment(r io.Reader) (*Experiment, error) {
-	var je jsonExperiment
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&je); err != nil {
-		return nil, fmt.Errorf("telemetry: decode experiment: %w", err)
-	}
+// Experiment validates the document and converts it. Unknown feature
+// names are rejected rather than silently dropped, so telemetry produced
+// by a newer catalog fails loudly; so are ragged resource series and a
+// partial set of them. The result shares je's series slices.
+func (je *ExperimentJSON) Experiment() (*Experiment, error) {
 	e := &Experiment{
 		Workload:         je.Workload,
 		SKU:              SKU{CPUs: je.CPUs, MemoryGB: je.MemoryGB},
@@ -114,6 +111,23 @@ func ReadExperiment(r io.Reader) (*Experiment, error) {
 	return e, nil
 }
 
+// WriteExperiment serializes one experiment as indented JSON.
+func WriteExperiment(w io.Writer, e *Experiment) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(ToJSON(e))
+}
+
+// ReadExperiment parses and validates one experiment document (see
+// ExperimentJSON.Experiment).
+func ReadExperiment(r io.Reader) (*Experiment, error) {
+	var je ExperimentJSON
+	if err := json.NewDecoder(r).Decode(&je); err != nil {
+		return nil, fmt.Errorf("telemetry: decode experiment: %w", err)
+	}
+	return je.Experiment()
+}
+
 // WriteExperiments serializes a list of experiments as a JSON array
 // stream (one document per experiment).
 func WriteExperiments(w io.Writer, exps []*Experiment) error {
@@ -130,18 +144,13 @@ func ReadExperiments(r io.Reader) ([]*Experiment, error) {
 	dec := json.NewDecoder(r)
 	var out []*Experiment
 	for {
-		var je jsonExperiment
+		var je ExperimentJSON
 		if err := dec.Decode(&je); err == io.EOF {
 			return out, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("telemetry: decode experiment %d: %w", len(out), err)
 		}
-		// Round-trip through the single-document reader for validation.
-		buf, err := json.Marshal(je)
-		if err != nil {
-			return nil, err
-		}
-		e, err := ReadExperiment(bytes.NewReader(buf))
+		e, err := je.Experiment()
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: experiment %d: %w", len(out), err)
 		}

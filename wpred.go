@@ -23,7 +23,7 @@
 //	refs := wpred.GenerateSuite(wpred.ReferenceWorkloads(), wpred.DefaultSKUs(), []int{8}, 3, src)
 //	p := wpred.NewPipeline(wpred.PipelineConfig{Seed: 42})
 //	if err := p.Train(refs); err != nil { ... }
-//	pred, err := p.Predict(targetExperiments, wpred.SKU{CPUs: 8, MemoryGB: 64})
+//	pred, _, err := p.PredictWithReport(targetExperiments, wpred.SKU{CPUs: 8, MemoryGB: 64})
 //
 // See examples/ for complete programs and DESIGN.md for the experiment
 // index.
@@ -113,7 +113,7 @@ const (
 	Single   = scalemodel.Single
 )
 
-// Pipeline sentinel errors, for errors.Is tests against Train/Predict
+// Pipeline sentinel errors, for errors.Is tests against Train/PredictWithReport
 // failures.
 var (
 	ErrNotTrained         = core.ErrNotTrained

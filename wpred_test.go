@@ -53,7 +53,7 @@ func TestEndToEndViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := GenerateSuite([]*Workload{ycsb}, []SKU{small}, []int{8}, 3, src)
-	pred, err := p.Predict(target, large)
+	pred, _, err := p.PredictWithReport(target, large)
 	if err != nil {
 		t.Fatal(err)
 	}
